@@ -105,7 +105,9 @@ func (st *execState) passes(nodes ...graph.NodeID) (bool, error) {
 }
 
 // focalSelectOp resolves the WHERE clause to the focal node set (or, for
-// node-driven pairwise evaluation, the explicit pair list).
+// node-driven pairwise evaluation, the explicit pair list). A single-node
+// census then swaps in the plan re-picked on the resolved focal count,
+// which censusOp runs and Table.Plan reports.
 type focalSelectOp struct{}
 
 // Name implements Operator.
@@ -143,6 +145,10 @@ func (focalSelectOp) Run(st *execState) error {
 			st.specs[i].Focal = focal
 		}
 		st.table.Stats.FocalCount = len(focal)
+		// The plan priced the WHERE estimate; re-pick the drivers on the
+		// resolved count. ForFocals copies, so the cached plan stays shared.
+		st.phys = st.phys.ForFocals(len(focal))
+		st.table.Plan = st.phys
 		return nil
 	}
 

@@ -13,8 +13,9 @@ import (
 // the snapshot epoch it ran against, the engine configuration, the RND()
 // seed (sampling predicates are seed-deterministic), and the canonical
 // parameter bindings. A Writer publish advances the epoch, so results
-// computed on superseded versions stop hitting and age out — the cache
-// never needs explicit invalidation.
+// computed on superseded versions stop hitting; the first put for a newer
+// epoch drops them (see resultCache.put) — the cache never needs an
+// invalidation hook.
 type resultKey struct {
 	fp     lang.Fingerprint
 	epoch  uint64
@@ -65,6 +66,10 @@ type resultCache struct {
 	entries map[resultKey]*list.Element
 	lru     *list.List // front = most recent
 	stats   ResultCacheStats
+	// epoch is the newest snapshot epoch a put has carried. Every query
+	// pins the latest snapshot, so entries of older epochs can never hit
+	// again.
+	epoch uint64
 }
 
 type resultEntry struct {
@@ -105,7 +110,11 @@ func (c *resultCache) get(key resultKey) (*Table, bool) {
 }
 
 // put inserts a table, evicting least-recently-used entries until the
-// budget holds. A table larger than the whole budget is not cached.
+// budget holds. A table larger than the whole budget is not cached. A put
+// for a newer epoch first evicts every entry of older epochs, and a late
+// put for an epoch older than the newest seen is dropped: queries pin
+// the latest snapshot, so such entries could only occupy budget. Static
+// sources stay at epoch 0 and never prune.
 func (c *resultCache) put(key resultKey, t *Table) {
 	if c == nil || c.budget <= 0 {
 		return
@@ -116,6 +125,19 @@ func (c *resultCache) put(key resultKey, t *Table) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if key.epoch < c.epoch {
+		return
+	}
+	if key.epoch > c.epoch {
+		c.epoch = key.epoch
+		for el := c.lru.Front(); el != nil; {
+			next := el.Next()
+			if el.Value.(*resultEntry).key.epoch < key.epoch {
+				c.evict(el)
+			}
+			el = next
+		}
+	}
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*resultEntry)
 		c.bytes += size - ent.size
@@ -126,13 +148,17 @@ func (c *resultCache) put(key resultKey, t *Table) {
 		c.bytes += size
 	}
 	for c.bytes > c.budget && c.lru.Len() > 1 {
-		last := c.lru.Back()
-		ent := last.Value.(*resultEntry)
-		c.lru.Remove(last)
-		delete(c.entries, ent.key)
-		c.bytes -= ent.size
-		c.stats.Evictions++
+		c.evict(c.lru.Back())
 	}
+}
+
+// evict removes one entry and counts it. Callers hold c.mu.
+func (c *resultCache) evict(el *list.Element) {
+	ent := el.Value.(*resultEntry)
+	c.lru.Remove(el)
+	delete(c.entries, ent.key)
+	c.bytes -= ent.size
+	c.stats.Evictions++
 }
 
 // Stats returns a point-in-time copy of the counters.

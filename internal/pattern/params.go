@@ -75,6 +75,7 @@ func (p *Pattern) BindParams(vals map[string]string) (*Pattern, error) {
 		preds:    preds,
 		subs:     p.subs,
 		varIndex: p.varIndex,
+		adj:      p.adj,
 	}
 	return b, nil
 }

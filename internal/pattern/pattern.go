@@ -39,7 +39,10 @@ type Pattern struct {
 	subs  map[string][]int // subpattern name -> node indices
 
 	varIndex map[string]int
-	adj      [][]int // positive-edge neighbor indices (both directions), deduplicated
+	// adj holds each node's positive-edge neighbor indices (both
+	// directions), sorted and deduplicated. AddNode and AddEdge keep it
+	// current, so a pattern shared by concurrent censuses is only read.
+	adj [][]int
 }
 
 // New returns an empty pattern with the given name.
@@ -59,7 +62,7 @@ func (p *Pattern) AddNode(variable, label string) (int, error) {
 	idx := len(p.nodes)
 	p.nodes = append(p.nodes, Node{Var: variable, Label: label})
 	p.varIndex[variable] = idx
-	p.adj = nil
+	p.adj = append(p.adj, nil)
 	return idx, nil
 }
 
@@ -92,8 +95,23 @@ func (p *Pattern) AddEdge(from, to int, directed, negated bool) error {
 		return fmt.Errorf("pattern %s: self loop on ?%s", p.Name, p.nodes[from].Var)
 	}
 	p.edges = append(p.edges, Edge{From: from, To: to, Directed: directed, Negated: negated})
-	p.adj = nil
+	if !negated {
+		p.adj[from] = addNeighbor(p.adj[from], to)
+		p.adj[to] = addNeighbor(p.adj[to], from)
+	}
 	return nil
+}
+
+// addNeighbor inserts v into the sorted list unless it is already there.
+func addNeighbor(list []int, v int) []int {
+	i := sort.SearchInts(list, v)
+	if i < len(list) && list[i] == v {
+		return list
+	}
+	list = append(list, 0)
+	copy(list[i+1:], list[i:])
+	list[i] = v
+	return list
 }
 
 // MustAddEdge is AddEdge for programmatic pattern construction.
@@ -156,36 +174,7 @@ func (p *Pattern) Predicates() []Predicate { return p.preds }
 // PositiveNeighbors returns the deduplicated indices of nodes connected to
 // i by a non-negated edge in either direction.
 func (p *Pattern) PositiveNeighbors(i int) []int {
-	p.buildAdj()
 	return p.adj[i]
-}
-
-func (p *Pattern) buildAdj() {
-	if p.adj != nil {
-		return
-	}
-	adj := make([][]int, len(p.nodes))
-	seen := make([]map[int]bool, len(p.nodes))
-	for i := range seen {
-		seen[i] = map[int]bool{}
-	}
-	add := func(a, b int) {
-		if !seen[a][b] {
-			seen[a][b] = true
-			adj[a] = append(adj[a], b)
-		}
-	}
-	for _, e := range p.edges {
-		if e.Negated {
-			continue
-		}
-		add(e.From, e.To)
-		add(e.To, e.From)
-	}
-	for i := range adj {
-		sort.Ints(adj[i])
-	}
-	p.adj = adj
 }
 
 // Validate checks the structural invariants the evaluation algorithms rely
@@ -194,7 +183,6 @@ func (p *Pattern) Validate() error {
 	if len(p.nodes) == 0 {
 		return fmt.Errorf("pattern %s: no nodes", p.Name)
 	}
-	p.buildAdj()
 	visited := make([]bool, len(p.nodes))
 	stack := []int{0}
 	visited[0] = true
@@ -226,7 +214,6 @@ func (p *Pattern) Validate() error {
 // unreachable sentinel larger than any real distance) if disconnected —
 // Validate rejects such patterns.
 func (p *Pattern) Distances() [][]int {
-	p.buildAdj()
 	n := len(p.nodes)
 	d := make([][]int, n)
 	for i := range d {
@@ -283,7 +270,6 @@ func (p *Pattern) Pivot(candidates []int) (pivot, maxDist int) {
 // (label constraint, then highest positive degree) and greedily appends the
 // neighbor with the most edges into the prefix.
 func (p *Pattern) SearchOrder() []int {
-	p.buildAdj()
 	n := len(p.nodes)
 	if n == 0 {
 		return nil

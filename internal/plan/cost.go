@@ -126,7 +126,8 @@ func (c CostInput) Cost(alg string) float64 {
 		// then re-match locally — work proportional to the local matches.
 		return c.Focals * (c.NbrEdges + local*float64(c.PatternEdges)*cMatchEdge)
 	case NDDiff:
-		// Delta maintenance along a DFS order reuses neighbor censuses;
+		// Global matching (the driver materializes M like ND-PVOT), then
+		// delta maintenance along a DFS order reuses neighbor censuses;
 		// the advantage decays as the focal set thins out.
 		frac := 0.0
 		if c.Stats.Nodes > 0 {
@@ -136,7 +137,7 @@ func (c CostInput) Cost(alg string) float64 {
 			}
 		}
 		reuse := math.Pow(ndDiffReuse, frac)
-		return reuse * c.Cost(NDBas)
+		return c.commonCost() + reuse*c.Cost(NDBas)
 	case NDPvot:
 		// Global matching, then per focal node one BFS distance plane plus
 		// an anchor-distance probe per match.

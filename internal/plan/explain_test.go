@@ -44,17 +44,17 @@ func TestExplainGoldenSelective(t *testing.T) {
 	p := optimizeScript(t, `
 PATTERN lt { ?A-?B; ?B-?C; ?A-?C; [?A.LABEL='core']; }
 SELECT ID, COUNTP(lt, SUBGRAPH(ID, 2)) FROM nodes WHERE RND() < 0.5 ORDER BY COUNT DESC LIMIT 3`, env)
-	want := `Plan [cost-based, est cost 15.6, est focal 3]
+	want := `Plan [cost-based, est cost 18.4, est focal 3]
 OrderLimit [ORDER BY COUNT DESC LIMIT 3]
-└─ Census [1 aggregate(s), SUBGRAPH(ID, 2)] (ND-DIFF est cost 15.6)
+└─ Census [1 aggregate(s), SUBGRAPH(ID, 2)] (PT-BAS est cost 18.4)
    ├─ PatternDef [lt: 3 nodes (1 labeled), 3 edges (0 negated), 0 predicates, pivot ?A ecc 1]
    └─ FocalSelect [WHERE RND()<'0.5'] over nodes (est selectivity 0.5)
       └─ NodeScan [6 nodes, 7 edges, 1 labels, directed=false]
 candidates for lt (est |M| 0.729, 2 automorphism(s)):
-  ND-DIFF  15.6  <- chosen
-  PT-BAS   18.4
+  PT-BAS   18.4  <- chosen
   PT-OPT   24.3
   PT-RND   31.3
+  ND-DIFF  32.8
   ND-PVOT  35.5
   ND-BAS   51.8
 `
@@ -68,13 +68,13 @@ func TestExplainGoldenNonSelective(t *testing.T) {
 	p := optimizeScript(t, `
 PATTERN e1 { ?A-?B; }
 SELECT ID, COUNTP(e1, SUBGRAPH(ID, 1)) FROM nodes`, env)
-	want := `Plan [cost-based, est cost 7.35, est focal 6]
-Census [1 aggregate(s), SUBGRAPH(ID, 1)] (ND-DIFF est cost 7.35)
+	want := `Plan [cost-based, est cost 30.2, est focal 6]
+Census [1 aggregate(s), SUBGRAPH(ID, 1)] (PT-BAS est cost 30.2)
 ├─ PatternDef [e1: 2 nodes (0 labeled), 1 edges (0 negated), 0 predicates, pivot ?A ecc 1]
 └─ NodeScan [6 nodes, 7 edges, 1 labels, directed=false]
 candidates for e1 (est |M| 7, 2 automorphism(s)):
-  ND-DIFF  7.35  <- chosen
-  PT-BAS   30.2
+  PT-BAS   30.2  <- chosen
+  ND-DIFF  31.9
   PT-OPT   31.9
   PT-RND   38.1
   ND-PVOT  46.8

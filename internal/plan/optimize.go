@@ -53,6 +53,10 @@ type Physical struct {
 	TotalCost float64
 	// Forced echoes Env.Forced (after pairwise ND-DIFF substitution).
 	Forced string
+
+	// inputs holds each aggregate's cost-model input, kept so ForFocals
+	// can re-price the plan on a resolved focal count.
+	inputs []CostInput
 }
 
 // Algorithm returns the algorithm executed for aggregate i.
@@ -100,12 +104,8 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 		p.Focals = p.Selectivity * n
 	}
 
-	allowed := Algorithms
-	if l.Pair {
-		allowed = PairAlgorithms
-	}
-
-	inputs := make([]CostInput, len(l.Aggs))
+	p.inputs = make([]CostInput, len(l.Aggs))
+	p.Choices = make([]AggChoice, len(l.Aggs))
 	for i, agg := range l.Aggs {
 		matches, _, autos := EstimateMatches(agg.Pattern, agg.Subpattern, s)
 		posEdges := 0
@@ -129,8 +129,54 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 			in.NbrNodes *= 2
 			in.NbrEdges *= 2
 		}
-		inputs[i] = in
-		choice := AggChoice{Matches: matches, Autos: autos, Costs: map[string]float64{}}
+		p.inputs[i] = in
+		p.Choices[i] = AggChoice{Matches: matches, Autos: autos}
+	}
+	p.pick()
+
+	// Annotate the logical tree for EXPLAIN.
+	annotate(l.Root, s, p.Selectivity)
+	return p, nil
+}
+
+// ForFocals re-picks the drivers for a resolved focal count n: the WHERE
+// estimate Optimize priced is replaced by the count the focal-select
+// stage actually produced. It returns a shallow copy with Choices,
+// Batched and TotalCost re-picked and leaves p untouched, because a
+// cached plan is shared by concurrent executions. Focals and Selectivity
+// stay the estimates, so they can still be compared with the resolved
+// count. Forced plans, pair plans (the pairwise focal stage needs the
+// algorithm before it resolves pairs) and plans without a WHERE clause
+// (the estimate is exact) are returned as they are.
+func (p *Physical) ForFocals(n int) *Physical {
+	if p.Forced != "" || p.Pair || p.Query.Where == nil {
+		return p
+	}
+	q := *p
+	q.inputs = make([]CostInput, len(p.inputs))
+	for i, in := range p.inputs {
+		in.Focals = float64(n)
+		q.inputs[i] = in
+	}
+	q.Choices = append([]AggChoice(nil), p.Choices...)
+	q.pick()
+	return &q
+}
+
+// pick prices every allowed algorithm on p.inputs and chooses each
+// aggregate's driver — the cheapest, or the forced one — then decides
+// whether a multi-aggregate census runs batched. It is the one place a
+// driver is chosen: Optimize calls it on the WHERE estimate, ForFocals on
+// the resolved focal count. It overwrites p.Choices' decision fields,
+// p.Batched and p.TotalCost, so callers pass a plan they own.
+func (p *Physical) pick() {
+	allowed := Algorithms
+	if p.Pair {
+		allowed = PairAlgorithms
+	}
+	for i, in := range p.inputs {
+		choice := &p.Choices[i]
+		choice.Costs = make(map[string]float64, len(allowed))
 		for _, alg := range allowed {
 			choice.Costs[alg] = in.Cost(alg)
 		}
@@ -140,37 +186,33 @@ func Optimize(l *Logical, env Env) (*Physical, error) {
 		} else {
 			choice.Algorithm, choice.Cost = in.Best(allowed)
 		}
-		p.Choices = append(p.Choices, choice)
 	}
 
-	// Multi-aggregate censuses can batch: one BFS distance plane per focal
-	// node shared by every aggregate's containment probes (the CountMany
-	// driver, which is ND-PVOT-shaped). Compare against independent runs.
-	if !l.Pair && len(l.Aggs) > 1 {
-		batched := p.Focals * p.NbrNodes // the shared BFS, paid once
-		perAgg := 0.0
-		for i := range inputs {
-			batched += inputs[i].commonCost() + p.Focals*inputs[i].Matches*contain*cContain
-			perAgg += p.Choices[i].Cost
-		}
-		if p.Forced == NDPvot || (p.Forced == "" && batched < perAgg) {
-			p.Batched = true
-			for i := range p.Choices {
-				p.Choices[i].Algorithm = NDPvot
-			}
-			p.TotalCost = batched
-		} else {
-			p.TotalCost = perAgg
-		}
-	} else {
+	p.Batched, p.TotalCost = false, 0
+	if p.Pair || len(p.inputs) < 2 {
 		for i := range p.Choices {
 			p.TotalCost += p.Choices[i].Cost
 		}
+		return
 	}
-
-	// Annotate the logical tree for EXPLAIN.
-	annotate(l.Root, s, p.Selectivity)
-	return p, nil
+	// Multi-aggregate censuses can batch: one BFS distance plane per focal
+	// node shared by every aggregate's containment probes (the CountMany
+	// driver, which is ND-PVOT-shaped). Compare against independent runs.
+	batched := p.inputs[0].Focals * p.inputs[0].NbrNodes // the shared BFS, paid once
+	perAgg := 0.0
+	for i, in := range p.inputs {
+		batched += in.commonCost() + in.Focals*in.Matches*in.Contain*cContain
+		perAgg += p.Choices[i].Cost
+	}
+	if p.Forced == NDPvot || (p.Forced == "" && batched < perAgg) {
+		p.Batched = true
+		for i := range p.Choices {
+			p.Choices[i].Algorithm = NDPvot
+		}
+		p.TotalCost = batched
+	} else {
+		p.TotalCost = perAgg
+	}
 }
 
 func annotate(n Node, s *graph.Stats, sel float64) {

@@ -24,8 +24,9 @@ type Source interface {
 // GraphSource adapts an in-memory graph to the Source interface,
 // memoizing its statistics snapshot.
 type GraphSource struct {
-	g     *graph.Graph
-	stats *graph.Stats
+	g         *graph.Graph
+	statsOnce sync.Once
+	stats     *graph.Stats
 }
 
 // FromGraph wraps an in-memory graph as a Source.
@@ -35,9 +36,7 @@ func FromGraph(g *graph.Graph) *GraphSource {
 
 // GraphStats implements Source.
 func (s *GraphSource) GraphStats() (*graph.Stats, error) {
-	if s.stats == nil {
-		s.stats = graph.ComputeStats(s.g)
-	}
+	s.statsOnce.Do(func() { s.stats = graph.ComputeStats(s.g) })
 	return s.stats, nil
 }
 
