@@ -19,7 +19,7 @@ race:
 # convergence, live-engine ingest) plus the work-stealing determinism
 # tests with randomized steal timing, repeated under the race detector.
 stress:
-	$(GO) test -race -shuffle=on -count=3 -run 'Stress|Stealing|Shard' ./internal/core/ ./internal/storage/
+	$(GO) test -race -shuffle=on -count=3 -run 'Stress|Stealing|Shard|Writer|Maintainer' ./internal/core/ ./internal/storage/ ./internal/graph/
 
 # Crash-recovery soak: scripted filesystem faults (torn writes, failed
 # fsyncs, crash-after-op) against the dynamic store, checking

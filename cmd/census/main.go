@@ -76,7 +76,7 @@ func main() {
 		records, bytes, baseEpoch := ds.LogStats()
 		fmt.Fprintf(os.Stderr, "census: recovered epoch %d (base image at epoch %d, %d shards, %d log records, %d bytes)\n",
 			ds.Snapshot().Epoch(), baseEpoch, ds.Shards(), records, bytes)
-		e = core.NewEngineLiveSharded(ds.Writer())
+		e = core.NewEngineLive(ds.Writer())
 	} else {
 		st, err := storage.Open(*graphPath, 0)
 		if err != nil {

@@ -135,7 +135,7 @@ func randBatch(rng *rand.Rand, nodes int) ([]graph.Op, int) {
 }
 
 // stage mirrors a generated batch into the writer's staging API.
-func stage(w *graph.ShardedWriter, ops []graph.Op) {
+func stage(w *graph.Writer, ops []graph.Op) {
 	for _, op := range ops {
 		switch op.Kind {
 		case graph.OpAddNode:
@@ -428,7 +428,7 @@ func iterDegradedServing(rng *rand.Rand, shards int) error {
 		return err
 	}
 
-	srv := serve.New(core.NewEngineLiveSharded(w), serve.Config{WriteHealth: w.Degraded})
+	srv := serve.New(core.NewEngineLive(w), serve.Config{WriteHealth: w.Degraded})
 
 	// Every further fsync on the log hits ENOSPC: retries exhaust and the
 	// writer degrades.

@@ -79,7 +79,7 @@ func main() {
 		records, bytes, baseEpoch := ds.LogStats()
 		fmt.Fprintf(os.Stderr, "egoserve: recovered epoch %d (base image at epoch %d, %d shards, %d log records, %d bytes)\n",
 			ds.Snapshot().Epoch(), baseEpoch, ds.Shards(), records, bytes)
-		e = core.NewEngineLiveSharded(ds.Writer())
+		e = core.NewEngineLive(ds.Writer())
 		// A writer that degrades on WAL failure keeps serving reads;
 		// /healthz reports it so operators see the read-only (or
 		// partially writable, for sharded stores) state.

@@ -101,7 +101,7 @@ type shell struct {
 	// it (compiled statements are bound to the engine they came from).
 	prepared map[string]*core.Prepared
 
-	writer       *graph.ShardedWriter
+	writer       *graph.Writer
 	ingestActive atomic.Bool
 	ingestFile   string       // set by the REPL goroutine while inactive
 	ingestOps    atomic.Int64 // mutations staged by the running ingest
@@ -222,7 +222,7 @@ func (sh *shell) ingestBlocked() bool {
 }
 
 // goLive promotes the session graph to a mutating one: the current graph
-// is frozen as epoch 0 under a sharded writer and the engine is replaced
+// is frozen as epoch 0 under a graph.Writer and the engine is replaced
 // by a live engine that pins a fresh snapshot per query. shards > 1
 // partitions staging into independent ingest lanes (0 keeps the current
 // writer's shard count, or 1 lane for a fresh writer).
@@ -242,7 +242,7 @@ func (sh *shell) goLive(shards int) bool {
 		shards = 1
 	}
 	sh.writer = graph.NewShardedWriter(g, shards)
-	sh.adoptEngine(core.NewEngineLiveSharded(sh.writer))
+	sh.adoptEngine(core.NewEngineLive(sh.writer))
 	return true
 }
 

@@ -383,8 +383,9 @@ type (
 	// census evaluation against it is exact for its epoch.
 	Snapshot = graph.Snapshot
 	// GraphWriter is the single mutation path of a versioned graph: it
-	// stages AddNode/AddEdge/SetLabel/Set*Attr batches and Publish
-	// installs the next snapshot copy-on-write.
+	// stages AddNode/AddEdge/SetLabel/Set*Attr batches into one lane per
+	// shard and Publish installs the next snapshot copy-on-write under a
+	// single global epoch, with per-shard degraded mode.
 	GraphWriter = graph.Writer
 	// WriterStats is a point-in-time monitoring view of a GraphWriter
 	// (epoch, staged sizes, delta-overlay shape, compactions).
@@ -407,15 +408,10 @@ type (
 	// store; its shard count is fixed at creation and recorded in the
 	// image header. The zero value is disabled (one shard).
 	Partitioner = graph.Partitioner
-	// ShardedGraphWriter is the mutation path of a sharded versioned
-	// graph: P independent staging/WAL/apply lanes composed under a
-	// single global epoch, with per-shard degraded mode. A 1-shard
-	// writer behaves exactly like GraphWriter.
-	ShardedGraphWriter = graph.ShardedWriter
 )
 
-// NewWriter freezes g as the epoch-0 snapshot and returns its writer; all
-// further mutation goes through the writer.
+// NewWriter freezes g as the epoch-0 snapshot and returns its one-shard
+// writer; all further mutation goes through the writer.
 func NewWriter(g *Graph) *GraphWriter { return graph.NewWriter(g) }
 
 // FreezeGraph seals g as an immutable epoch-0 snapshot without a writer.
@@ -424,26 +420,20 @@ func FreezeGraph(g *Graph) *Snapshot { return graph.Freeze(g) }
 // NewLiveEngine returns a query engine over a mutating graph: every query
 // pins the writer's snapshot current at execution start, so results (and
 // the Epoch stamped on each table) are version-consistent even while
-// ingest continues.
+// ingest continues. Over a multi-shard writer, census scheduling is
+// seeded shard-affinely through the writer's partitioner (results are
+// identical to the unsharded engine's).
 func NewLiveEngine(w *GraphWriter) *Engine { return core.NewEngineLive(w) }
 
-// NewShardedWriter freezes g as the epoch-0 snapshot of a P-lane sharded
-// writer; NewPartitioner(shards) is its node-to-shard map.
-func NewShardedWriter(g *Graph, shards int) *ShardedGraphWriter {
+// NewShardedWriter freezes g as the epoch-0 snapshot of a P-lane writer;
+// NewPartitioner(shards) is its node-to-shard map.
+func NewShardedWriter(g *Graph, shards int) *GraphWriter {
 	return graph.NewShardedWriter(g, shards)
 }
 
 // NewPartitioner returns the deterministic node-to-shard map used by
 // sharded writers and stores with the given shard count.
 func NewPartitioner(shards int) Partitioner { return graph.NewPartitioner(shards) }
-
-// NewLiveShardedEngine returns a query engine over a sharded mutating
-// graph: queries pin snapshots exactly as with NewLiveEngine, and census
-// scheduling is seeded shard-affinely through the writer's partitioner
-// (results are identical to the unsharded engine's).
-func NewLiveShardedEngine(w *ShardedGraphWriter) *Engine {
-	return core.NewEngineLiveSharded(w)
-}
 
 // CountSnapshot evaluates a single-node census against one pinned
 // version.

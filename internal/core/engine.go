@@ -79,18 +79,18 @@ func NewEngineFromSource(src plan.Source) *Engine {
 // the writer's latest published snapshot for its whole run (planning,
 // EXPLAIN statistics, and execution all observe one epoch, reported as
 // Table.Epoch), while the writer keeps publishing concurrently. Queries
-// never block mutation and vice versa.
+// never block mutation and vice versa. For a multi-shard writer, planning
+// statistics aggregate per-shard computations and executions inherit the
+// writer's partitioner so the census scheduler seeds work shard-affinely.
 func NewEngineLive(w *graph.Writer) *Engine {
 	return NewEngineFromSource(plan.FromWriter(w))
 }
 
-// NewEngineLiveSharded is NewEngineLive over a sharded writer: queries
-// pin composed snapshots the same way, planning statistics aggregate
-// per-shard computations, and executions inherit the store's partitioner
-// so the census scheduler seeds work shard-affinely.
-func NewEngineLiveSharded(w *graph.ShardedWriter) *Engine {
-	return NewEngineFromSource(plan.FromShardedWriter(w))
-}
+// NewEngineLiveSharded is the former name of NewEngineLive.
+//
+// Deprecated: use NewEngineLive. The name survives only for the
+// benchmark module, which builds against it unchanged.
+func NewEngineLiveSharded(w *graph.Writer) *Engine { return NewEngineLive(w) }
 
 // optionsFor resolves the execution options for one run: the engine's
 // defaults, plus — when the engine serves a partitioned source and the

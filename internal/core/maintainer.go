@@ -142,6 +142,8 @@ func (mt *Maintainer) applyLocked(d graph.Delta) error {
 // (already-queued batches are dropped); the subscription on w remains but
 // becomes a cheap no-op. The maintainer must be positioned at the
 // writer's current epoch (or earlier batches must already be queued).
+// w may have any shard count, so a durable store's writer
+// (storage.DynamicStore.Writer) is followed the same way.
 func (mt *Maintainer) Attach(w *graph.Writer) (stop func()) {
 	w.Subscribe(func(_ *graph.Snapshot, d graph.Delta) {
 		mt.mu.Lock()

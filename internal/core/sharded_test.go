@@ -199,7 +199,7 @@ func TestStressShardedCensusDuringIngest(t *testing.T) {
 func TestEngineInjectsSourcePartitioner(t *testing.T) {
 	g := stressSeedGraph(t, false, 30, 60, 12)
 	w := graph.NewShardedWriter(g.Clone(), 4)
-	e := NewEngineLiveSharded(w)
+	e := NewEngineLive(w)
 	if got := e.optionsFor().Partitioner; !got.Enabled() || got.Shards() != 4 {
 		t.Fatalf("injected partitioner: enabled=%v shards=%d", got.Enabled(), got.Shards())
 	}
@@ -210,10 +210,10 @@ func TestEngineInjectsSourcePartitioner(t *testing.T) {
 	}
 	e.Opt.Partitioner = graph.Partitioner{}
 
-	// Unsharded live engines stay unaffine.
-	plainW := graph.NewWriter(g.Clone())
-	if got := NewEngineLive(plainW).optionsFor().Partitioner; got.Enabled() {
-		t.Fatal("plain writer source injected a partitioner")
+	// One-shard live engines stay unaffine.
+	oneShard := graph.NewWriter(g.Clone())
+	if got := NewEngineLive(oneShard).optionsFor().Partitioner; got.Enabled() {
+		t.Fatal("one-shard writer source injected an enabled partitioner")
 	}
 
 	// End to end: the sharded engine's results match an unsharded engine
@@ -233,11 +233,11 @@ SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes`
 	}
 }
 
-// TestShardedWriterSourceStats checks the shard-parallel statistics
+// TestWriterSourceShardedStats checks the shard-parallel statistics
 // aggregation matches the sequential computation, memoized per epoch.
-func TestShardedWriterSourceStats(t *testing.T) {
+func TestWriterSourceShardedStats(t *testing.T) {
 	w := graph.NewShardedWriter(stressSeedGraph(t, false, 50, 150, 14), 4)
-	src := plan.FromShardedWriter(w)
+	src := plan.FromWriter(w)
 	snap := src.Snapshot()
 	got, err := src.StatsAt(snap)
 	if err != nil {

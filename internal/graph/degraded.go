@@ -10,13 +10,15 @@ import (
 // This file is the write-path fault policy of the MVCC core: transient
 // WAL-append failures are retried with bounded exponential backoff and
 // jitter, and an unrecoverable failure — a permanent error, or a
-// transient one that survives every retry — flips the writer into an
-// explicit read-only degraded mode. Degraded means exactly one thing:
-// publishes fail fast with the same *DegradedError until an operator
-// resolves the storage fault and calls ClearDegraded. Everything else
-// keeps working — pending ops are retained for the post-recovery retry,
-// staged mutations still accumulate, and snapshot reads (the whole query
-// path) are untouched, because readers never depend on the writer.
+// transient one that survives every retry — flips the failing shard's
+// lane into an explicit read-only degraded mode. A failure that does not
+// identify a shard degrades every lane, so with one shard degraded means
+// whole-writer read-only: publishes fail fast with the same
+// *DegradedError until an operator resolves the storage fault and calls
+// ClearDegraded. Everything else keeps working — pending ops are retained
+// for the post-recovery retry, staged mutations still accumulate, and
+// snapshot reads (the whole query path) are untouched, because readers
+// never depend on the writer.
 
 // IsTransient reports whether err is classified retryable by the storage
 // layer (or any WAL implementation): some error in its chain exposes
@@ -72,11 +74,12 @@ func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
-// DegradedError reports that the writer is in read-only degraded mode:
+// DegradedError reports that a writer lane is in read-only degraded mode:
 // an earlier publish exhausted its WAL retries (or hit a permanent
-// storage failure) and every subsequent publish fails fast with this
-// error until ClearDegraded. Reads are unaffected — pinned snapshots and
-// new Snapshot() acquisitions keep serving the last published epoch.
+// storage failure), and that lane's ops stay held until ClearDegraded.
+// With one shard every subsequent publish fails fast with this error.
+// Reads are unaffected — pinned snapshots and new Snapshot() acquisitions
+// keep serving the last published epoch.
 type DegradedError struct {
 	// Cause is the unrecoverable WAL failure that tripped degraded mode.
 	Cause error
@@ -96,40 +99,41 @@ func (e *DegradedError) Error() string {
 // Unwrap exposes the storage failure that tripped degraded mode.
 func (e *DegradedError) Unwrap() error { return e.Cause }
 
-// Degraded returns the writer's degraded state: nil while healthy, the
-// *DegradedError (as an error, typed nil never escapes) once the write
-// path has failed unrecoverably. Serving layers poll this for health
-// reporting.
-func (w *Writer) Degraded() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.degraded == nil {
-		return nil
-	}
-	return w.degraded
-}
-
-// ClearDegraded re-arms a degraded writer after the underlying storage
-// fault is resolved (space freed, volume remounted, log compacted onto a
-// healthy device). Pending ops were retained, so the next Publish retries
-// the batch that originally failed. It reports whether the writer was
-// degraded.
-func (w *Writer) ClearDegraded() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	was := w.degraded != nil
-	w.degraded = nil
-	return was
-}
-
 // appendWAL drives one batch through the WAL under the retry policy:
 // transient failures back off and retry up to the policy's attempt
-// budget, permanent failures return immediately. Called with w.mu held.
-func (w *Writer) appendWAL(ops []Op) error {
+// budget, permanent failures return immediately. ops is pub's op
+// sequence; it is appended whole unless the writer is sharded and the WAL
+// is a ShardWAL, which gets per-shard segment records instead. Called
+// with pubMu held.
+func (w *Writer) appendWAL(pub []pubOp, ops []Op) error {
+	swal, sharded := w.wal.(ShardWAL)
+	sharded = sharded && w.part.Enabled()
+	var parts []ShardBatch
+	if sharded {
+		byLane := make([]ShardBatch, len(w.lanes))
+		for i := range byLane {
+			byLane[i].Shard = i
+		}
+		for idx, po := range pub {
+			b := &byLane[po.lane]
+			b.Index = append(b.Index, uint32(idx))
+			b.Ops = append(b.Ops, po.op)
+		}
+		for _, b := range byLane {
+			if len(b.Ops) > 0 {
+				parts = append(parts, b)
+			}
+		}
+	}
 	policy := w.WALRetry
 	var err error
 	for attempt := 1; ; attempt++ {
-		if err = w.wal.AppendBatch(ops); err == nil {
+		if sharded {
+			err = swal.AppendShardBatch(parts, len(pub))
+		} else {
+			err = w.wal.AppendBatch(ops)
+		}
+		if err == nil {
 			return nil
 		}
 		if !IsTransient(err) || attempt >= policy.attempts() {
@@ -142,4 +146,119 @@ func (w *Writer) appendWAL(ops []Op) error {
 			time.Sleep(d)
 		}
 	}
+}
+
+// routeBatch splits a merged batch into the publishable prefix-by-density
+// and the held remainder. With no degraded lanes everything publishes.
+// Ops in degraded lanes are held; so is any op that would break dense ID
+// assignment if published without them: creations at or after the first
+// held creation of their kind, and references to IDs those would assign.
+func routeBatch(merged []pubOp, degraded []*DegradedError) (pub, held []pubOp) {
+	if firstDegraded(degraded) == nil {
+		return merged, nil
+	}
+	const noWM = int32(1<<31 - 1)
+	nodeWM, edgeWM := noWM, noWM
+	pub = make([]pubOp, 0, len(merged))
+	for _, po := range merged {
+		bad := degraded[po.lane] != nil
+		switch po.op.Kind {
+		case OpAddNode:
+			bad = bad || po.id >= nodeWM
+			if bad && po.id < nodeWM {
+				nodeWM = po.id
+			}
+		case OpAddEdge:
+			bad = bad || po.id >= edgeWM || po.op.A >= nodeWM || po.op.B >= nodeWM
+			if bad && po.id < edgeWM {
+				edgeWM = po.id
+			}
+		case OpSetLabel, OpSetNodeAttr:
+			bad = bad || po.op.A >= nodeWM
+		case OpSetEdgeAttr:
+			bad = bad || po.op.A >= edgeWM
+		}
+		if bad {
+			held = append(held, po)
+		} else {
+			pub = append(pub, po)
+		}
+	}
+	return pub, held
+}
+
+// firstDegraded returns the lowest-shard degraded error in the set.
+func firstDegraded(degraded []*DegradedError) *DegradedError {
+	for _, d := range degraded {
+		if d != nil {
+			return d
+		}
+	}
+	return nil
+}
+
+// setDegraded marks the failing shard's lane (or every lane when the
+// error does not identify one) sticky read-only.
+func (w *Writer) setDegraded(cause error, epoch uint64) {
+	shard := -1
+	var sf ShardFault
+	if errors.As(cause, &sf) {
+		shard = sf.FailedShard()
+	}
+	d := &DegradedError{Cause: cause, Epoch: epoch, Since: time.Now()}
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	if shard >= 0 && shard < len(w.lanes) {
+		w.lanes[shard].degraded = d
+		return
+	}
+	for i := range w.lanes {
+		w.lanes[i].degraded = d
+	}
+}
+
+// Degraded returns the writer's degraded state: nil while every shard is
+// healthy, the lowest degraded shard's *DegradedError otherwise (as an
+// error; a typed nil never escapes). With P > 1 a non-nil result means at
+// most that shard's writes are stuck; healthy shards keep publishing.
+// Serving layers poll this for health reporting.
+func (w *Writer) Degraded() error {
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	for i := range w.lanes {
+		if d := w.lanes[i].degraded; d != nil {
+			return d
+		}
+	}
+	return nil
+}
+
+// DegradedShards lists the currently degraded shards (nil when healthy).
+func (w *Writer) DegradedShards() []int {
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	var out []int
+	for i := range w.lanes {
+		if w.lanes[i].degraded != nil {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// ClearDegraded re-arms every degraded shard after the underlying storage
+// fault is resolved (space freed, volume remounted, log compacted onto a
+// healthy device). Held ops were retained in sequence order, so the next
+// Publish retries them. It reports whether any shard was degraded.
+func (w *Writer) ClearDegraded() bool {
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	was := false
+	for i := range w.lanes {
+		if w.lanes[i].degraded != nil {
+			was = true
+			w.lanes[i].degraded = nil
+		}
+	}
+	return was
 }

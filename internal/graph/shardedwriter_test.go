@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// scriptOp drives the same mutation against a Writer and a ShardedWriter.
+// scriptOp is one step of a random mutation script.
 type scriptOp struct {
 	kind byte // 'n' node, 'e' edge, 'l' label, 'a' node attr, 'x' edge attr, 'p' publish
 	a, b int
@@ -40,39 +41,31 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 	return script
 }
 
-type mutator interface {
-	AddNode() NodeID
-	AddEdge(from, to NodeID) EdgeID
-	SetLabel(n NodeID, label string)
-	SetNodeAttr(n NodeID, key, value string)
-	SetEdgeAttr(e EdgeID, key, value string)
-	Publish() (*Snapshot, error)
-	Snapshot() *Snapshot
-}
-
-func runScript(t *testing.T, m mutator, script []scriptOp) (nodeIDs []NodeID, edgeIDs []EdgeID, epochs []string) {
+// runScript drives script through w (plus a final publish), returning the
+// IDs staging assigned and each publish's epoch-stamped fingerprint.
+func runScript(t *testing.T, w *Writer, script []scriptOp) (nodeIDs []NodeID, edgeIDs []EdgeID, epochs []string) {
 	t.Helper()
 	for _, s := range script {
 		switch s.kind {
 		case 'n':
-			nodeIDs = append(nodeIDs, m.AddNode())
+			nodeIDs = append(nodeIDs, w.AddNode())
 		case 'e':
-			edgeIDs = append(edgeIDs, m.AddEdge(nodeIDs[s.a], nodeIDs[s.b]))
+			edgeIDs = append(edgeIDs, w.AddEdge(nodeIDs[s.a], nodeIDs[s.b]))
 		case 'l':
-			m.SetLabel(nodeIDs[s.a], s.v)
+			w.SetLabel(nodeIDs[s.a], s.v)
 		case 'a':
-			m.SetNodeAttr(nodeIDs[s.a], s.k, s.v)
+			w.SetNodeAttr(nodeIDs[s.a], s.k, s.v)
 		case 'x':
-			m.SetEdgeAttr(edgeIDs[s.a], s.k, s.v)
+			w.SetEdgeAttr(edgeIDs[s.a], s.k, s.v)
 		case 'p':
-			snap, err := m.Publish()
+			snap, err := w.Publish()
 			if err != nil {
 				t.Fatalf("publish: %v", err)
 			}
 			epochs = append(epochs, fmt.Sprintf("epoch %d\n%s", snap.Epoch(), graphFingerprint(snap.Graph())))
 		}
 	}
-	snap, err := m.Publish()
+	snap, err := w.Publish()
 	if err != nil {
 		t.Fatalf("final publish: %v", err)
 	}
@@ -80,75 +73,134 @@ func runScript(t *testing.T, m mutator, script []scriptOp) (nodeIDs []NodeID, ed
 	return nodeIDs, edgeIDs, epochs
 }
 
-// TestShardedWriterParity holds ShardedWriter to Writer's observable
-// behavior — same assigned IDs, same epochs, same per-epoch fingerprints
-// — for the single-shard compatibility path and for P=4 with parallel
-// application.
+// referenceEpochs is the definitional reference for runScript: the script
+// applied op by op to a plain mutable Graph through ApplyOp, fingerprinted
+// at every publish point. An empty publish keeps the epoch, as Publish
+// does with nothing pending.
+func referenceEpochs(t *testing.T, directed bool, script []scriptOp) []string {
+	t.Helper()
+	g := New(directed)
+	var epochs []string
+	epoch, pending := 0, 0
+	publish := func() {
+		if pending > 0 {
+			epoch, pending = epoch+1, 0
+		}
+		epochs = append(epochs, fmt.Sprintf("epoch %d\n%s", epoch, graphFingerprint(g)))
+	}
+	for _, s := range script {
+		var op Op
+		switch s.kind {
+		case 'n':
+			op = Op{Kind: OpAddNode}
+		case 'e':
+			op = Op{Kind: OpAddEdge, A: int32(s.a), B: int32(s.b)}
+		case 'l':
+			op = Op{Kind: OpSetLabel, A: int32(s.a), Val: s.v}
+		case 'a':
+			op = Op{Kind: OpSetNodeAttr, A: int32(s.a), Key: s.k, Val: s.v}
+		case 'x':
+			op = Op{Kind: OpSetEdgeAttr, A: int32(s.a), Key: s.k, Val: s.v}
+		case 'p':
+			publish()
+			continue
+		}
+		if err := ApplyOp(g, op); err != nil {
+			t.Fatalf("reference apply: %v", err)
+		}
+		pending++
+	}
+	publish()
+	return epochs
+}
+
+// TestShardedWriterParity holds the writer to the definitional reference
+// — every epoch's fingerprint equals the script applied op by op to a
+// plain Graph, and staging assigns dense IDs in staging order — for one
+// shard and for P=4 with the shard-parallel apply.
 func TestShardedWriterParity(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("directed=%v/shards=%d", directed, shards), func(t *testing.T) {
+				if shards > 1 {
+					// Apply parallelism is min(shards, GOMAXPROCS): raise
+					// GOMAXPROCS so the parallel apply runs on small hosts.
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
+				}
 				rng := rand.New(rand.NewSource(7))
 				script := randomScript(rng, 400)
-				w := NewWriter(New(directed))
-				sw := NewShardedWriter(New(directed), shards)
-				sw.ApplyWorkers = 4
-				wn, we, weps := runScript(t, w, script)
-				sn, se, seps := runScript(t, sw, script)
-				if !reflect.DeepEqual(wn, sn) || !reflect.DeepEqual(we, se) {
-					t.Fatalf("assigned IDs diverge")
+				w := NewShardedWriter(New(directed), shards)
+				if shards > 1 && w.applyWorkers() != shards {
+					t.Fatalf("apply workers = %d, want %d", w.applyWorkers(), shards)
 				}
-				if !reflect.DeepEqual(weps, seps) {
-					t.Fatalf("epoch fingerprints diverge:\nwriter:\n%s\nsharded:\n%s", weps[len(weps)-1], seps[len(seps)-1])
+				nodeIDs, edgeIDs, got := runScript(t, w, script)
+				for i, id := range nodeIDs {
+					if id != NodeID(i) {
+						t.Fatalf("node %d staged as ID %d, want dense %d", i, id, i)
+					}
+				}
+				for i, id := range edgeIDs {
+					if id != EdgeID(i) {
+						t.Fatalf("edge %d staged as ID %d, want dense %d", i, id, i)
+					}
+				}
+				want := referenceEpochs(t, directed, script)
+				if len(got) != len(want) {
+					t.Fatalf("%d publishes, reference %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("publish %d diverges from reference:\nwriter:\n%s\nreference:\n%s", i, got[i], want[i])
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestShardedWriterWALOrdering checks the plain-WAL path appends exactly
-// the op sequence a Writer would, and that per-shard segment batches
-// reassemble to that sequence via their batch indexes.
+// TestShardedWriterWALOrdering checks the WAL receives exactly the batches
+// subscribers see: the one-shard flat appends, and the P=4 per-shard
+// segment records reassembled by their batch indexes, both equal each
+// published Delta's ops.
 func TestShardedWriterWALOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	script := randomScript(rng, 300)
-
-	var flatW, flatS [][]Op
-	w := NewWriter(New(false))
-	w.SetWAL(walFunc(func(ops []Op) error {
-		flatW = append(flatW, append([]Op(nil), ops...))
-		return nil
-	}))
-	runScript(t, w, script)
-
-	sw := NewShardedWriter(New(false), 1)
-	sw.SetWAL(walFunc(func(ops []Op) error {
-		flatS = append(flatS, append([]Op(nil), ops...))
-		return nil
-	}))
-	runScript(t, sw, script)
-	if !reflect.DeepEqual(flatW, flatS) {
-		t.Fatalf("P=1 WAL batches diverge from Writer's")
-	}
-
-	// P=4 through a ShardWAL: reassembling each epoch's segment records by
-	// batch index must reproduce the same flat op sequence.
-	var epochs [][]Op
-	sw4 := NewShardedWriter(New(false), 4)
-	sw4.SetWAL(&shardWALRecorder{onEpoch: func(ops []Op) { epochs = append(epochs, ops) }})
-	runScript(t, sw4, script)
-	if !reflect.DeepEqual(flatW, epochs) {
-		t.Fatalf("P=4 reassembled WAL batches diverge from Writer's")
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var logged, published [][]Op
+			w := NewShardedWriter(New(false), shards)
+			rec := &shardWALRecorder{onEpoch: func(ops []Op) { logged = append(logged, ops) }}
+			w.SetWAL(rec)
+			w.Subscribe(func(_ *Snapshot, d Delta) { published = append(published, d.Ops) })
+			runScript(t, w, script)
+			if len(published) == 0 {
+				t.Fatal("script published nothing")
+			}
+			// One shard appends flat batches; P shards append segments only.
+			wantFlat := 0
+			if shards == 1 {
+				wantFlat = len(published)
+			}
+			if rec.flat != wantFlat {
+				t.Fatalf("flat appends = %d, want %d", rec.flat, wantFlat)
+			}
+			if !reflect.DeepEqual(logged, published) {
+				t.Fatalf("WAL batches diverge from published deltas (%d vs %d epochs)", len(logged), len(published))
+			}
+		})
 	}
 }
 
-// shardWALRecorder implements ShardWAL, reassembling each epoch's parts.
+// shardWALRecorder implements ShardWAL, reassembling each epoch's parts;
+// flat counts the whole-batch (AppendBatch) appends.
 type shardWALRecorder struct {
 	onEpoch func([]Op)
 	fail    map[int]error
+	flat    int
 }
 
 func (r *shardWALRecorder) AppendBatch(ops []Op) error {
+	r.flat++
 	r.onEpoch(append([]Op(nil), ops...))
 	return nil
 }

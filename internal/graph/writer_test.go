@@ -332,18 +332,26 @@ func TestWriterWALOrdering(t *testing.T) {
 		t.Fatalf("retry publish: %v nodes=%d", err, s.NumNodes())
 	}
 
-	// Barrier exposes history newer than the requested epoch.
-	var tailEpochs []uint64
-	if err := w.Barrier(1, func(cur *Snapshot, tail []Delta) (WAL, error) {
-		for _, d := range tail {
-			tailEpochs = append(tailEpochs, d.Epoch)
+	// Barrier runs under the publish lock with the current snapshot, and
+	// a WAL it returns replaces the hook for later publishes.
+	var swapped [][]Op
+	if err := w.Barrier(func(cur *Snapshot) (WAL, error) {
+		if cur != w.Snapshot() {
+			t.Error("barrier saw a stale snapshot")
 		}
-		return nil, nil
+		return walFunc(func(ops []Op) error {
+			swapped = append(swapped, append([]Op(nil), ops...))
+			return nil
+		}), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tailEpochs, []uint64{2}) {
-		t.Fatalf("barrier tail = %v want [2]", tailEpochs)
+	w.AddNode()
+	if _, err := w.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(swapped) != 1 || len(appended) != 2 {
+		t.Fatalf("after WAL swap: new hook got %d batches, old hook %d (want 1, 2)", len(swapped), len(appended))
 	}
 }
 

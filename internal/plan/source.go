@@ -57,10 +57,22 @@ type SnapshotSource interface {
 	StatsAt(s *graph.Snapshot) (*graph.Stats, error)
 }
 
-// WriterSource adapts a graph.Writer as a SnapshotSource: every call
+// PartitionedSource extends SnapshotSource for sharded backends: the
+// engine injects the source's partitioner into execution options so the
+// census scheduler can seed work shard-affinely.
+type PartitionedSource interface {
+	SnapshotSource
+	// Partitioner returns the node partitioner the backing store was
+	// created with.
+	Partitioner() graph.Partitioner
+}
+
+// WriterSource adapts a graph.Writer as a PartitionedSource: every call
 // observes the writer's latest published snapshot, and statistics are
 // memoized per epoch so only the first query after a publish pays the
-// recompute.
+// recompute. For a multi-shard writer that recompute runs shard-parallel
+// (one goroutine per shard, capped at GOMAXPROCS) and merges; with one
+// shard it is the plain sequential ComputeStats.
 type WriterSource struct {
 	w *graph.Writer
 
@@ -77,75 +89,11 @@ func FromWriter(w *graph.Writer) *WriterSource {
 // Snapshot implements SnapshotSource.
 func (s *WriterSource) Snapshot() *graph.Snapshot { return s.w.Snapshot() }
 
+// Partitioner implements PartitionedSource.
+func (s *WriterSource) Partitioner() graph.Partitioner { return s.w.Partitioner() }
+
 // StatsAt implements SnapshotSource, memoizing the newest epoch's stats.
 func (s *WriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error) {
-	s.mu.Lock()
-	if s.stats != nil && s.statsEpoch == snap.Epoch() {
-		st := s.stats
-		s.mu.Unlock()
-		return st, nil
-	}
-	s.mu.Unlock()
-	// Compute outside the lock: stats over a frozen snapshot are pure.
-	st := graph.ComputeStats(snap.Graph())
-	st.Epoch = snap.Epoch()
-	s.mu.Lock()
-	// Last writer wins; only overwrite a cache for an older epoch so a
-	// concurrent computation for a newer version is not clobbered.
-	if s.stats == nil || s.statsEpoch <= snap.Epoch() {
-		s.statsEpoch, s.stats = snap.Epoch(), st
-	}
-	s.mu.Unlock()
-	return st, nil
-}
-
-// GraphStats implements Source against the latest published version.
-func (s *WriterSource) GraphStats() (*graph.Stats, error) {
-	return s.StatsAt(s.Snapshot())
-}
-
-// Graph implements Source against the latest published version.
-func (s *WriterSource) Graph() (*graph.Graph, error) {
-	return s.Snapshot().Graph(), nil
-}
-
-// PartitionedSource extends SnapshotSource for sharded backends: the
-// engine injects the source's partitioner into execution options so the
-// census scheduler can seed work shard-affinely.
-type PartitionedSource interface {
-	SnapshotSource
-	// Partitioner returns the node partitioner the backing store was
-	// created with.
-	Partitioner() graph.Partitioner
-}
-
-// ShardedWriterSource adapts a graph.ShardedWriter as a
-// PartitionedSource: snapshots pin exactly like WriterSource, and the
-// per-epoch statistics snapshot is computed shard-parallel (one goroutine
-// per shard, capped at GOMAXPROCS) and merged.
-type ShardedWriterSource struct {
-	w *graph.ShardedWriter
-
-	mu         sync.Mutex
-	statsEpoch uint64
-	stats      *graph.Stats
-}
-
-// FromShardedWriter wraps a sharded writer's published snapshots as a
-// Source.
-func FromShardedWriter(w *graph.ShardedWriter) *ShardedWriterSource {
-	return &ShardedWriterSource{w: w}
-}
-
-// Snapshot implements SnapshotSource.
-func (s *ShardedWriterSource) Snapshot() *graph.Snapshot { return s.w.Snapshot() }
-
-// Partitioner implements PartitionedSource.
-func (s *ShardedWriterSource) Partitioner() graph.Partitioner { return s.w.Partitioner() }
-
-// StatsAt implements SnapshotSource, aggregating per-shard statistics in
-// parallel and memoizing the newest epoch's result.
-func (s *ShardedWriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error) {
 	s.mu.Lock()
 	if s.stats != nil && s.statsEpoch == snap.Epoch() {
 		st := s.stats
@@ -167,11 +115,11 @@ func (s *ShardedWriterSource) StatsAt(snap *graph.Snapshot) (*graph.Stats, error
 }
 
 // GraphStats implements Source against the latest published version.
-func (s *ShardedWriterSource) GraphStats() (*graph.Stats, error) {
+func (s *WriterSource) GraphStats() (*graph.Stats, error) {
 	return s.StatsAt(s.Snapshot())
 }
 
 // Graph implements Source against the latest published version.
-func (s *ShardedWriterSource) Graph() (*graph.Graph, error) {
+func (s *WriterSource) Graph() (*graph.Graph, error) {
 	return s.Snapshot().Graph(), nil
 }

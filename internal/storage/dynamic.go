@@ -12,7 +12,7 @@ import (
 
 // DynamicStore is the durable backing of a mutating graph: a base .egoc
 // image plus append-only mutation-log sidecars, fronted by a
-// graph.ShardedWriter. Opening replays the log onto the base image and
+// graph.Writer. Opening replays the log onto the base image and
 // resumes the epoch sequence; every publish is WAL-appended and fsynced
 // before it becomes visible, so a crash at any point recovers exactly the
 // last published snapshot. A background compactor folds the log into the
@@ -40,7 +40,7 @@ type DynamicStore struct {
 	basePath string
 	logPath  string
 	shards   int
-	w        *graph.ShardedWriter
+	w        *graph.Writer
 
 	mu     sync.Mutex // serializes Compact and Close; publishes take the writer's own lock
 	log    mutLog
@@ -235,11 +235,12 @@ func OpenDynamicFS(fsys fault.FS, basePath string) (*DynamicStore, error) {
 	return ds, nil
 }
 
-// Writer returns the store's single mutation path. Batches published
-// through it are durable before they are visible. With one shard the
-// writer behaves exactly like the plain graph.Writer; with P shards a
-// failed segment degrades only the lane that owns it.
-func (ds *DynamicStore) Writer() *graph.ShardedWriter { return ds.w }
+// Writer returns the store's single mutation path, a graph.Writer with
+// the store's shard count. Batches published through it are durable
+// before they are visible. With one shard a failed log append degrades
+// the whole writer to read-only; with P shards a failed segment degrades
+// only the lane that owns it.
+func (ds *DynamicStore) Writer() *graph.Writer { return ds.w }
 
 // Snapshot returns the current published version (O(1)).
 func (ds *DynamicStore) Snapshot() *graph.Snapshot { return ds.w.Snapshot() }
@@ -297,7 +298,7 @@ func (ds *DynamicStore) Compact() error {
 	if ds.closed {
 		return fmt.Errorf("storage: dynamic store %s is closed", ds.basePath)
 	}
-	err := ds.w.Barrier(^uint64(0), func(cur *graph.Snapshot, _ []graph.Delta) (graph.WAL, error) {
+	err := ds.w.Barrier(func(cur *graph.Snapshot) (graph.WAL, error) {
 		if err := SaveShardedFS(ds.fsys, ds.basePath, cur.Graph(), ds.shards); err != nil {
 			return nil, err
 		}

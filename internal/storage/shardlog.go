@@ -488,8 +488,8 @@ func openSegmentTail(fsys fault.FS, path string, sc *segScan) (*logSegment, erro
 }
 
 // shardSegmentError wires a segment failure to the writer's per-shard
-// degraded mode: graph.ShardedWriter extracts FailedShard and degrades
-// only that lane. Transience classification passes through Unwrap.
+// degraded mode: graph.Writer extracts FailedShard and degrades only
+// that lane. Transience classification passes through Unwrap.
 type shardSegmentError struct {
 	shard int
 	err   error

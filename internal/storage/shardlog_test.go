@@ -89,9 +89,10 @@ func TestShardedDynamicCreateReplayParity(t *testing.T) {
 }
 
 // TestShardedOneShardByteIdentity pins the compatibility contract: a
-// 1-shard store's image and log bytes are exactly what the unsharded
-// writer-plus-log pipeline produces, so pre-sharding stores and 1-shard
-// stores are interchangeable on disk.
+// 1-shard store's image and log bytes are exactly the image Save writes
+// plus the v1 log that Log.AppendBatch writes for the published deltas,
+// with no writer in between, so pre-sharding stores and 1-shard stores
+// are interchangeable on disk.
 func TestShardedOneShardByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	shardedBase := filepath.Join(dir, "sharded.egoc")
@@ -102,11 +103,16 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.SetCompactAtBytes(0)
+	var deltas []graph.Delta
+	ds.Writer().Subscribe(func(_ *graph.Snapshot, d graph.Delta) { deltas = append(deltas, d) })
 	publishShardBatches(t, ds, 7, 5)
 	ds.Close()
+	if len(deltas) != 5 {
+		t.Fatalf("published %d deltas, want 5", len(deltas))
+	}
 
-	// The reference pipeline: plain Writer over an identical base image,
-	// appending the identical deltas through the v1 log.
+	// The reference pipeline: an identical base image, and the published
+	// deltas appended straight through the v1 log.
 	if err := Save(plainBase, seedShardGraph()); err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +124,13 @@ func TestShardedOneShardByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := graph.NewWriter(seedShardGraph())
-	w.SetWAL(l)
-	rng := rand.New(rand.NewSource(7))
-	snapNodes := 8
-	for b := 0; b < 5; b++ {
-		nodes := snapNodes + w.Pending()
-		first := w.AddNodes(2)
-		w.AddEdge(first, graph.NodeID(rng.Intn(nodes)))
-		w.AddEdge(first+1, graph.NodeID(rng.Intn(nodes)))
-		w.SetLabel(graph.NodeID(rng.Intn(nodes)), fmt.Sprintf("l%d", b%3))
-		w.SetNodeAttr(graph.NodeID(rng.Intn(nodes)), "b", fmt.Sprintf("%d", b))
-		snap, err := w.Publish()
-		if err != nil {
+	for _, d := range deltas {
+		if err := l.AppendBatch(d.Ops); err != nil {
 			t.Fatal(err)
 		}
-		snapNodes = snap.NumNodes()
+		if l.LastEpoch() != d.Epoch {
+			t.Fatalf("reference log at epoch %d, delta epoch %d", l.LastEpoch(), d.Epoch)
+		}
 	}
 	l.Close()
 
